@@ -92,7 +92,7 @@ def _traced_grid(config, seeds: Sequence[int], scale: float):
 
 def _engine_grid(config, seeds: Sequence[int], scale: float):
     """Grid via the parallel/cached sweep engine (the default path)."""
-    from repro.analysis.runner import ResultCache, run_grid
+    from repro.analysis.runner import Grid, ResultCache, run_grid
     from repro.telemetry import Telemetry
 
     cache = None if NO_CACHE else ResultCache(CACHE_DIR)
@@ -102,12 +102,15 @@ def _engine_grid(config, seeds: Sequence[int], scale: float):
         tag = "cache" if cached else "ran"
         print(f"  [grid {done}/{total}] {cell.describe()} ({tag})", file=sys.stderr)
 
-    grid = run_grid(
-        config,
+    grid = Grid(
+        points={None: config},
         batches=batch_names(),
-        policies=list(PAPER_POLICIES),
+        policies=PAPER_POLICIES,
         seeds=seeds,
         scale=scale,
+    )
+    cube = run_grid(
+        grid,
         workers=WORKERS,
         cache=cache,
         telemetry=telemetry,
@@ -121,7 +124,10 @@ def _engine_grid(config, seeds: Sequence[int], scale: float):
         f"(workers={WORKERS}, {where})",
         file=sys.stderr,
     )
-    return grid
+    return {
+        batch: {policy: cube[None, batch, policy] for policy in PAPER_POLICIES}
+        for batch in batch_names()
+    }
 
 
 def figure_grid(seeds: Sequence[int] = SEEDS, scale: float = SCALE):

@@ -1,8 +1,11 @@
 """Result aggregation, normalisation, and experiment runners.
 
-One runner per paper artefact: :func:`run_figure4` (Figures 4a-4c),
-:func:`run_figure5` (Figures 5a-5b), and :func:`run_observation` (the
-Section 2.2 motivation experiment).  The benchmark harness under
+One runner per paper artefact: :func:`run_figures` (Figures 4a-4c and
+5a-5b, projected from one grid; :func:`run_figure4` and
+:func:`run_figure5` return one figure each), and :func:`run_observation`
+(the Section 2.2 motivation experiment).  Every grid-shaped experiment
+is one :class:`~repro.analysis.runner.Grid` run by
+:func:`~repro.analysis.runner.run_grid` and projected into its rows.  The benchmark harness under
 ``benchmarks/`` is a thin wrapper around these.
 """
 
@@ -56,6 +59,7 @@ from repro.analysis.runner import (
     EXECUTOR_NAMES,
     CacheStats,
     CellExecutionError,
+    Grid,
     ResultCache,
     SweepCell,
     cache_key,
@@ -112,6 +116,7 @@ from repro.analysis.experiments import (
     run_batch_policy,
     run_figure4,
     run_figure5,
+    run_figures,
     run_observation,
     run_tail_sensitivity,
 )
@@ -160,6 +165,7 @@ __all__ = [
     "default_cache_dir",
     "run_cells",
     "run_grid",
+    "Grid",
     "stable_hash",
     "DEFAULT_LEASE_S",
     "ClaimInfo",
@@ -191,6 +197,7 @@ __all__ = [
     "run_batch_policy",
     "run_figure4",
     "run_figure5",
+    "run_figures",
     "run_observation",
     "PAPER_POLICIES",
     "DEFAULT_TAIL_PROFILES",

@@ -16,6 +16,14 @@ from repro.analysis.results import (
     MetricKind,
     average_results,
 )
+from repro.analysis.runner import Cube, Grid, run_grid
+from repro.analysis.sweeps import (
+    SweepRow,
+    find_crossover,
+    sweep_cores,
+    _sweep_row,
+    _with_device_latency,
+)
 from repro.baselines import (
     AsyncIOPolicy,
     IOPolicy,
@@ -28,6 +36,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRNG
 from repro.core import ITSPolicy
 from repro.engine import build_simulation
+from repro.faults.profiles import with_fault_profile
 from repro.sim.batch import batch_names, build_batch
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import WorkloadInstance
@@ -110,54 +119,24 @@ def run_batch_policy(
     ).run()
 
 
-def _run_grid(
-    config: MachineConfig,
-    seeds: Sequence[int],
-    scale: float,
-    policies: Sequence[str],
+def _series(
+    cube: Cube,
     batches: Sequence[str],
-    *,
-    workers: int = 1,
-    cache=None,
-    telemetry=None,
-    progress=None,
-    executor=None,
-) -> dict[str, dict[str, list[SimulationResult]]]:
-    """results[batch][policy] = list of per-seed results.
-
-    Delegates to :func:`repro.analysis.runner.run_grid`, so the figure
-    grids inherit process-pool parallelism and the content-addressed
-    result cache.
-    """
-    from repro.analysis.runner import run_grid
-
-    return run_grid(
-        config,
-        batches=batches,
-        policies=policies,
-        seeds=seeds,
-        scale=scale,
-        workers=workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
-        executor=executor,
-    )
-
-
-def _series_from_grid(
-    grid: Mapping[str, Mapping[str, Sequence[SimulationResult]]],
+    policies: Sequence[str],
     metric: MetricKind,
     title: str,
-    policies: Sequence[str],
 ) -> FigureSeries:
-    batches = list(grid)
+    """One figure panel: *metric* per batch, averaged over seeds."""
     series: dict[str, list[float]] = {policy: [] for policy in policies}
     for batch in batches:
-        averages = average_results(grid[batch], metric)
+        averages = average_results(
+            {policy: cube[None, batch, policy] for policy in policies}, metric
+        )
         for policy in policies:
             series[policy].append(averages.values[policy])
-    return FigureSeries(title=title, metric=metric, x_labels=batches, series=series)
+    return FigureSeries(
+        title=title, metric=metric, x_labels=list(batches), series=series
+    )
 
 
 @dataclass
@@ -203,6 +182,65 @@ class ObservationData:
             self.normalized_idle = [v / base for v in self.idle_ns]
 
 
+def run_figures(
+    config: Optional[MachineConfig] = None,
+    *,
+    seeds: Sequence[int] = DEFAULT_SEEDS,
+    scale: float = 1.0,
+    policies: Sequence[str] = PAPER_POLICIES,
+    batches: Optional[Sequence[str]] = None,
+    workers: int = 1,
+    cache=None,
+    telemetry=None,
+    progress=None,
+    executor=None,
+) -> tuple[Figure4Data, Figure5Data]:
+    """Regenerate Figures 4 and 5 from one simulation of their shared
+    batches x policies x seeds grid.
+
+    ``workers``/``cache`` are forwarded to the sweep engine (see
+    :mod:`repro.analysis.runner`); results are identical at any worker
+    count.
+    """
+    batches = list(batches) if batches is not None else batch_names()
+    grid = Grid(
+        points={None: config or MachineConfig()},
+        batches=batches,
+        policies=policies,
+        seeds=seeds,
+        scale=scale,
+    )
+    cube = run_grid(
+        grid, workers=workers, cache=cache, telemetry=telemetry,
+        progress=progress, executor=executor,
+    )
+
+    def panel(metric: MetricKind, title: str) -> FigureSeries:
+        return _series(cube, batches, policies, metric, title)
+
+    return (
+        Figure4Data(
+            idle_time=panel(MetricKind.IDLE_TIME, "Fig 4a: total CPU idle time (ns)"),
+            page_faults=panel(
+                MetricKind.PAGE_FAULTS, "Fig 4b: number of major page faults"
+            ),
+            cache_misses=panel(
+                MetricKind.CACHE_MISSES, "Fig 4c: number of CPU cache misses"
+            ),
+        ),
+        Figure5Data(
+            top_half=panel(
+                MetricKind.FINISH_TOP_HALF,
+                "Fig 5a: avg finish time, top 50% priority (ns)",
+            ),
+            bottom_half=panel(
+                MetricKind.FINISH_BOTTOM_HALF,
+                "Fig 5b: avg finish time, bottom 50% priority (ns)",
+            ),
+        ),
+    )
+
+
 def run_figure4(
     config: Optional[MachineConfig] = None,
     *,
@@ -216,30 +254,14 @@ def run_figure4(
     progress=None,
     executor=None,
 ) -> Figure4Data:
-    """Regenerate Figure 4 (all three panels).
-
-    ``workers``/``cache`` are forwarded to the sweep engine (see
-    :mod:`repro.analysis.runner`); results are identical at any worker
-    count.
-    """
-    config = config or MachineConfig()
-    batches = list(batches) if batches is not None else batch_names()
-    grid = _run_grid(
-        config, seeds, scale, policies, batches,
+    """Regenerate Figure 4 (all three panels): :func:`run_figures`'
+    first projection.  Call :func:`run_figures` when Figure 5 is wanted
+    too, so the grid is simulated once."""
+    return run_figures(
+        config, seeds=seeds, scale=scale, policies=policies, batches=batches,
         workers=workers, cache=cache, telemetry=telemetry, progress=progress,
         executor=executor,
-    )
-    return Figure4Data(
-        idle_time=_series_from_grid(
-            grid, MetricKind.IDLE_TIME, "Fig 4a: total CPU idle time (ns)", policies
-        ),
-        page_faults=_series_from_grid(
-            grid, MetricKind.PAGE_FAULTS, "Fig 4b: number of major page faults", policies
-        ),
-        cache_misses=_series_from_grid(
-            grid, MetricKind.CACHE_MISSES, "Fig 4c: number of CPU cache misses", policies
-        ),
-    )
+    )[0]
 
 
 def run_figure5(
@@ -255,33 +277,47 @@ def run_figure5(
     progress=None,
     executor=None,
 ) -> Figure5Data:
-    """Regenerate Figure 5 (both panels).
-
-    ``workers``/``cache`` are forwarded to the sweep engine (see
-    :mod:`repro.analysis.runner`); results are identical at any worker
-    count.
-    """
-    config = config or MachineConfig()
-    batches = list(batches) if batches is not None else batch_names()
-    grid = _run_grid(
-        config, seeds, scale, policies, batches,
+    """Regenerate Figure 5 (both panels): :func:`run_figures`' second
+    projection."""
+    return run_figures(
+        config, seeds=seeds, scale=scale, policies=policies, batches=batches,
         workers=workers, cache=cache, telemetry=telemetry, progress=progress,
         executor=executor,
+    )[1]
+
+
+def _latency_sweeps(
+    config: Optional[MachineConfig],
+    profiles: Sequence[str],
+    latencies_us: Sequence[float],
+    policies: Sequence[str],
+    batch: str,
+    seed: int,
+    scale: float,
+    **run,
+) -> list[tuple[str, list[SweepRow]]]:
+    """Every (fault profile, device latency) point as one grid, run
+    once and projected back into one latency sweep per profile."""
+    config = config or MachineConfig()
+    grid = Grid(
+        points={
+            (profile, latency): _with_device_latency(
+                with_fault_profile(config, profile), latency
+            )
+            for profile in profiles
+            for latency in latencies_us
+        },
+        batches=(batch,),
+        policies=policies,
+        seeds=(seed,),
+        scale=scale,
     )
-    return Figure5Data(
-        top_half=_series_from_grid(
-            grid,
-            MetricKind.FINISH_TOP_HALF,
-            "Fig 5a: avg finish time, top 50% priority (ns)",
-            policies,
-        ),
-        bottom_half=_series_from_grid(
-            grid,
-            MetricKind.FINISH_BOTTOM_HALF,
-            "Fig 5b: avg finish time, bottom 50% priority (ns)",
-            policies,
-        ),
-    )
+    cube = run_grid(grid, **run)
+    return [
+        (profile, [_sweep_row(cube, (profile, lat), lat, batch, policies)
+                   for lat in latencies_us])
+        for profile in profiles
+    ]
 
 
 @dataclass(frozen=True)
@@ -323,8 +359,8 @@ def run_tail_sensitivity(
     """How the sync/async crossover shifts under read-tail variability.
 
     The paper's crossover argument assumes every read takes the nominal
-    device latency; this experiment re-runs the device-latency sweep
-    under each named fault profile (see
+    device latency; this experiment runs the device-latency sweep under
+    each named fault profile, all profiles in one grid (see
     :data:`repro.faults.profiles.FAULT_PROFILES`) and reports where the
     makespan winner flips.  Heavy P99.9 tails make the busy-wait bet
     worse at a given *nominal* latency, so the crossover moves toward
@@ -334,44 +370,28 @@ def run_tail_sensitivity(
     Cells are cached per (config, batch, policy, seed, scale) like any
     sweep; distinct fault profiles hash to distinct cache keys.
     """
-    from repro.analysis.sweeps import find_crossover, sweep_device_latency
-    from repro.faults.profiles import with_fault_profile
-
     if len(policies) < 2:
         raise ConfigError("tail sensitivity compares at least two policies")
-    config = config or MachineConfig()
-    rows: list[TailSensitivityRow] = []
-    for profile in profiles:
-        base = with_fault_profile(config, profile)
-        points = sweep_device_latency(
-            latencies_us,
-            policies=policies,
-            batch=batch,
-            seed=seed,
-            scale=scale,
-            base=base,
-            workers=workers,
-            cache=cache,
-            telemetry=telemetry,
-            progress=progress,
-            executor=executor,
+    sweeps = _latency_sweeps(
+        config, profiles, latencies_us, policies, batch, seed, scale,
+        workers=workers, cache=cache, telemetry=telemetry, progress=progress,
+        executor=executor,
+    )
+    first, second = policies[0], policies[1]
+    return [
+        TailSensitivityRow(
+            profile=profile,
+            crossover_us=find_crossover(points, first, second),
+            sync_wins=sum(
+                1
+                for point in points
+                if point.results[first].makespan_ns
+                < point.results[second].makespan_ns
+            ),
+            points=points,
         )
-        first, second = policies[0], policies[1]
-        crossover = find_crossover(points, first, second)
-        sync_wins = sum(
-            1
-            for point in points
-            if point.results[first].makespan_ns < point.results[second].makespan_ns
-        )
-        rows.append(
-            TailSensitivityRow(
-                profile=profile,
-                crossover_us=crossover,
-                sync_wins=sync_wins,
-                points=points,
-            )
-        )
-    return rows
+        for profile, points in sweeps
+    ]
 
 
 @dataclass(frozen=True)
@@ -438,31 +458,18 @@ def run_adaptive_comparison(
     ``config.adaptive`` whether or not the block is enabled, so the
     static cells keep their historical cache keys.
     """
-    from repro.analysis.sweeps import sweep_device_latency
-    from repro.faults.profiles import with_fault_profile
-
     if "Adaptive" in static_policies:
         raise ConfigError("static_policies must not include 'Adaptive'")
     if not static_policies:
         raise ConfigError("adaptive comparison needs at least one static policy")
-    config = config or MachineConfig()
     policies = tuple(static_policies) + ("Adaptive",)
+    sweeps = _latency_sweeps(
+        config, profiles, latencies_us, policies, batch, seed, scale,
+        workers=workers, cache=cache, telemetry=telemetry, progress=progress,
+        executor=executor,
+    )
     rows: list[AdaptiveComparisonRow] = []
-    for profile in profiles:
-        base = with_fault_profile(config, profile)
-        points = sweep_device_latency(
-            latencies_us,
-            policies=policies,
-            batch=batch,
-            seed=seed,
-            scale=scale,
-            base=base,
-            workers=workers,
-            cache=cache,
-            telemetry=telemetry,
-            progress=progress,
-            executor=executor,
-        )
+    for profile, points in sweeps:
         for point in points:
             makespans = {
                 name: point.results[name].makespan_ns for name in policies
@@ -529,9 +536,6 @@ def run_core_scaling(
     where cross-core pickup of sacrificed processes pays off.  Requires
     ``1 in core_counts`` (the speedup baseline).
     """
-    from repro.analysis.sweeps import sweep_cores
-    from repro.faults.profiles import with_fault_profile
-
     if 1 not in core_counts:
         raise ConfigError("core scaling needs the cores=1 baseline in core_counts")
     if sorted(set(core_counts)) != sorted(core_counts):

@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.experiments import (
     DEFAULT_SEEDS,
-    run_figure4,
-    run_figure5,
+    run_figures,
     run_observation,
 )
 from repro.analysis.results import FigureSeries
@@ -44,8 +43,8 @@ def generate_report(
     """Run all experiments and return the report as Markdown text.
 
     ``workers``/``cache`` are forwarded to the figure grids (see
-    :mod:`repro.analysis.runner`); Figures 4 and 5 share one grid, so
-    with a cache the second ``run_figure*`` call is entirely hits.
+    :mod:`repro.analysis.runner`); Figures 4 and 5 are projections of
+    one grid, simulated once.
     """
     config = config or MachineConfig()
     out = io.StringIO()
@@ -69,8 +68,9 @@ def generate_report(
         write(f"| {count} | {format_time_ns(idle)} | {frac:.1%} | {norm:.2f} |\n")
     write("\n")
 
-    fig4 = run_figure4(config, seeds=seeds, scale=scale, workers=workers, cache=cache)
-    fig5 = run_figure5(config, seeds=seeds, scale=scale, workers=workers, cache=cache)
+    fig4, fig5 = run_figures(
+        config, seeds=seeds, scale=scale, workers=workers, cache=cache
+    )
 
     from repro.analysis.validate import (
         render_claims,

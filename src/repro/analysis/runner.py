@@ -23,6 +23,11 @@ here does two things and nothing else:
   Hits skip simulation entirely, which also makes interrupted grid runs
   resumable: completed cells are served from cache on the next run.
 
+Experiments describe their cells declaratively: a :class:`Grid` of
+labelled config points x batches x policies x seeds, which
+:func:`run_grid` runs in one :func:`run_cells` call and returns as a
+result cube every experiment projects its rows from.
+
 Determinism is preserved at any worker count: a cell's result depends
 only on its key inputs (per-cell RNG seeding, no state shared between
 cells), results are returned in input order, and workers exchange the
@@ -47,7 +52,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
 from repro.analysis.store import FORMAT_VERSION, result_from_dict, result_to_dict
 from repro.common.config import MachineConfig
@@ -532,34 +537,75 @@ def _execute_pending(
         return [(i, capture(_execute_cell, payload)) for i, payload in indexed]
 
 
+@dataclass(frozen=True)
+class Grid:
+    """A declarative experiment grid: labelled config points x batches x
+    policies x seeds, at one trace scale.
+
+    *points* maps a label (any hashable: a swept value, a
+    ``(profile, latency)`` pair, a placement name) to the machine config
+    of that point — the config axis every sweep varies, so sweeping a
+    new knob is one more comprehension over *points*.  The axes are
+    checked once, here: none may be empty and every policy must be
+    known.
+    """
+
+    points: Mapping[Hashable, MachineConfig]
+    batches: Sequence[str]
+    policies: Sequence[str]
+    seeds: Sequence[int] = (1,)
+    scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        # Imported here: experiments imports this module.
+        from repro.analysis.experiments import POLICY_FACTORIES
+
+        for axis in ("points", "batches", "policies", "seeds"):
+            if not getattr(self, axis):
+                raise ConfigError(f"grid axis {axis!r} is empty")
+        unknown = [p for p in self.policies if p not in POLICY_FACTORIES]
+        if unknown:
+            raise ConfigError(f"unknown policies in grid: {unknown}")
+
+    def coordinates(self) -> list[tuple[Hashable, str, int, str]]:
+        """Every ``(point, batch, seed, policy)``, in execution order."""
+        return [
+            (label, batch, seed, policy)
+            for label in self.points
+            for batch in self.batches
+            for seed in self.seeds
+            for policy in self.policies
+        ]
+
+    def cells(self) -> list[SweepCell]:
+        """The grid's cells, in :meth:`coordinates` order."""
+        return [
+            SweepCell(self.points[label], batch, policy, seed, self.scale)
+            for label, batch, seed, policy in self.coordinates()
+        ]
+
+
+Cube = dict[tuple[Hashable, str, str], list[SimulationResult]]
+"""``cube[point, batch, policy]`` -> the per-seed results, in seed order."""
+
+
 def run_grid(
-    config: MachineConfig,
+    grid: Grid,
     *,
-    batches: Sequence[str],
-    policies: Sequence[str],
-    seeds: Sequence[int],
-    scale: float = 1.0,
     workers: int = 1,
     cache: Union[ResultCache, str, Path, None] = None,
     telemetry=None,
     progress: Optional[ProgressFn] = None,
     executor: Optional[str] = None,
     queue_options=None,
-) -> dict[str, dict[str, list[SimulationResult]]]:
-    """The figure-grid convenience: ``grid[batch][policy] -> per-seed list``.
+) -> Cube:
+    """Run every cell of *grid* in one :func:`run_cells` call.
 
-    Shared by :mod:`repro.analysis.experiments` (Figures 4/5) and the
-    benchmark harness's ``benchmarks/_shared.py`` so both get the same
-    parallelism and cache behaviour.
+    Every experiment is a projection of the returned cube, so a whole
+    experiment shares one pool, one cache pass and one progress count.
     """
-    cells = [
-        SweepCell(config=config, batch=batch, policy=policy, seed=seed, scale=scale)
-        for batch in batches
-        for seed in seeds
-        for policy in policies
-    ]
-    flat = run_cells(
-        cells,
+    results = run_cells(
+        grid.cells(),
         workers=workers,
         cache=cache,
         telemetry=telemetry,
@@ -567,9 +613,7 @@ def run_grid(
         executor=executor,
         queue_options=queue_options,
     )
-    grid: dict[str, dict[str, list[SimulationResult]]] = {
-        batch: {policy: [] for policy in policies} for batch in batches
-    }
-    for cell, result in zip(cells, flat):
-        grid[cell.batch][cell.policy].append(result)
-    return grid
+    cube: Cube = {}
+    for (label, batch, _, policy), result in zip(grid.coordinates(), results):
+        cube.setdefault((label, batch, policy), []).append(result)
+    return cube

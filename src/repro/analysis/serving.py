@@ -1,9 +1,9 @@
 """Latency-vs-offered-load analysis rows for the serving layer.
 
 The serving analogue of :func:`repro.analysis.experiments.run_core_scaling`:
-sweep (policy x offered rate) through the PR 2 runner — every cell is a
-plain :class:`~repro.analysis.runner.SweepCell` whose config carries an
-enabled :class:`~repro.common.config.ServingConfig`, so results are
+sweep (policy x offered rate) as one :class:`~repro.analysis.runner.Grid`
+whose points are rates — every point's config carries an enabled
+:class:`~repro.common.config.ServingConfig`, so results are
 content-addressed, cacheable, and bit-identical at any worker count —
 and distil each result's :class:`~repro.serving.request.ServingSummary`
 into one table row.
@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from repro.analysis.runner import Grid, run_grid
 from repro.common.config import MachineConfig, ServingConfig
 from repro.common.errors import ConfigError
 from repro.sim.metrics import SimulationResult
@@ -93,47 +94,28 @@ def run_serving_sweep(
     fixed schedule rather than sampling fresh traffic — the latency
     curve is load response, not replanned noise.
     """
-    from repro.analysis.runner import SweepCell, run_cells
-
-    if not rates:
-        raise ConfigError("serving sweep needs at least one offered rate")
-    if not policies:
-        raise ConfigError("serving sweep needs at least one policy")
     config = config or MachineConfig()
     serving = config.serving if config.serving.enabled else ServingConfig(enabled=True)
-
-    cells = []
-    for rate in rates:
-        cell_config = dataclasses.replace(
-            config, serving=dataclasses.replace(serving, rate_per_s=float(rate))
-        )
-        for policy in policies:
-            cells.append(
-                SweepCell(
-                    config=cell_config,
-                    batch=batch,
-                    policy=policy,
-                    seed=seed,
-                    scale=scale,
-                )
+    grid = Grid(
+        points={
+            float(rate): dataclasses.replace(
+                config, serving=dataclasses.replace(serving, rate_per_s=float(rate))
             )
-    results = run_cells(
-        cells,
-        workers=workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
-        executor=executor,
+            for rate in rates
+        },
+        batches=(batch,),
+        policies=policies,
+        seeds=(seed,),
+        scale=scale,
     )
-    rows: dict[float, list[ServingRow]] = {}
-    index = 0
-    for rate in rates:
-        rows[float(rate)] = [
-            row_from_result(results[index + offset])
-            for offset in range(len(policies))
-        ]
-        index += len(policies)
-    return rows
+    cube = run_grid(
+        grid, workers=workers, cache=cache, telemetry=telemetry,
+        progress=progress, executor=executor,
+    )
+    return {
+        rate: [row_from_result(cube[rate, batch, policy][0]) for policy in policies]
+        for rate in grid.points
+    }
 
 
 def serving_headline(rows: Mapping[float, Sequence[ServingRow]]) -> Optional[ServingRow]:

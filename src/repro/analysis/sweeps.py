@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
-from repro.analysis.experiments import POLICY_FACTORIES
-from repro.analysis.runner import SweepCell, run_cells
+from repro.analysis.runner import Cube, Grid, run_grid
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
 from repro.common.units import KIB, US
@@ -55,47 +54,36 @@ def sweep(
     """Run *batch* under *policies* for every knob value.
 
     ``transform(config, value)`` returns the config for one sweep point.
-    The value x policy grid is a batch of independent cells, executed by
-    :func:`repro.analysis.runner.run_cells`: ``workers > 1`` fans them
-    out across processes, *cache* (a
+    The sweep is one :class:`~repro.analysis.runner.Grid` whose points
+    are the knob values, run by :func:`repro.analysis.runner.run_grid`:
+    ``workers > 1`` fans the cells out across processes, *cache* (a
     :class:`~repro.analysis.runner.ResultCache` or a directory path)
     serves previously simulated cells from disk, and results are
     identical at any worker count.
     """
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    unknown = [p for p in policies if p not in POLICY_FACTORIES]
-    if unknown:
-        raise ConfigError(f"unknown policies in sweep: {unknown}")
     base = base or MachineConfig()
-    cells = [
-        SweepCell(
-            config=transform(base, value),
-            batch=batch,
-            policy=policy,
-            seed=seed,
-            scale=scale,
-        )
-        for value in values
-        for policy in policies
-    ]
-    flat = run_cells(
-        cells,
-        workers=workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
-        executor=executor,
+    grid = Grid(
+        points={value: transform(base, value) for value in values},
+        batches=(batch,),
+        policies=policies,
+        seeds=(seed,),
+        scale=scale,
     )
-    rows = []
-    for v_index, value in enumerate(values):
-        offset = v_index * len(policies)
-        results = {
-            policy: flat[offset + p_index]
-            for p_index, policy in enumerate(policies)
-        }
-        rows.append(SweepRow(value=value, results=results))
-    return rows
+    cube = run_grid(
+        grid, workers=workers, cache=cache, telemetry=telemetry,
+        progress=progress, executor=executor,
+    )
+    return [_sweep_row(cube, value, value, batch, policies) for value in values]
+
+
+def _sweep_row(
+    cube: Cube, label: Hashable, value: float, batch: str, policies: Sequence[str]
+) -> SweepRow:
+    """The sweep row of one single-seed grid point."""
+    return SweepRow(
+        value=value,
+        results={policy: cube[label, batch, policy][0] for policy in policies},
+    )
 
 
 def _with_device_latency(config: MachineConfig, latency_us: float) -> MachineConfig:

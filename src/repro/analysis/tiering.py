@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from repro.analysis.runner import Grid, run_grid
 from repro.common.config import (
     TIER_PLACEMENTS,
     MachineConfig,
@@ -116,10 +117,6 @@ def run_tier_sweep(
     (:mod:`repro.analysis.runner`); results are identical at any worker
     count.
     """
-    from repro.analysis.runner import SweepCell, run_cells
-
-    if not placements:
-        raise ConfigError("tier sweep needs at least one placement")
     for placement in placements:
         if placement not in TIER_PLACEMENTS:
             raise ConfigError(
@@ -127,33 +124,30 @@ def run_tier_sweep(
                 f"(known: {', '.join(TIER_PLACEMENTS)})"
             )
     config = config or MachineConfig()
-    cells = [
-        SweepCell(
-            tier_sweep_config(
+    grid = Grid(
+        points={
+            placement: tier_sweep_config(
                 config,
                 tiers,
                 placement,
                 promote_threshold=promote_threshold,
                 demote_watermark=demote_watermark,
                 adaptive_overrides=adaptive_overrides,
-            ),
-            batch,
-            "Adaptive",
-            seed=seed,
-            scale=scale,
-        )
-        for placement in placements
-    ]
-    results = run_cells(
-        cells,
-        workers=workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
-        executor=executor,
+            )
+            for placement in placements
+        },
+        batches=(batch,),
+        policies=("Adaptive",),
+        seeds=(seed,),
+        scale=scale,
+    )
+    cube = run_grid(
+        grid, workers=workers, cache=cache, telemetry=telemetry,
+        progress=progress, executor=executor,
     )
     rows: list[TierSweepRow] = []
-    for placement, result in zip(placements, results):
+    for placement in placements:
+        result = cube[placement, batch, "Adaptive"][0]
         summary = result.tiers
         if summary is None:
             raise ConfigError(

@@ -54,8 +54,7 @@ from repro.analysis.experiments import (
     run_adaptive_comparison,
     run_batch_policy,
     run_core_scaling,
-    run_figure4,
-    run_figure5,
+    run_figures,
     run_observation,
     run_tail_sensitivity,
 )
@@ -382,8 +381,9 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_exec(args: argparse.Namespace):
-    """Build the (cache, telemetry, progress) trio from the exec flags."""
+def _run_grid_verb(args: argparse.Namespace, experiment, *params, **kwargs):
+    """Run one grid-shaped experiment under the exec flags, then print
+    one stderr line: cells run vs served from cache."""
     from repro.analysis.runner import ResultCache
     from repro.telemetry import Telemetry
 
@@ -394,11 +394,10 @@ def _make_exec(args: argparse.Namespace):
         tag = "cache" if cached else "ran"
         print(f"  [{done}/{total}] {cell.describe()} ({tag})", file=sys.stderr)
 
-    return cache, telemetry, progress
-
-
-def _print_exec_summary(args: argparse.Namespace, cache, telemetry) -> None:
-    """One stderr line: cells run vs served from cache."""
+    result = experiment(
+        *params, workers=args.workers, cache=cache, telemetry=telemetry,
+        progress=progress, **kwargs,
+    )
     hits = telemetry.counter("runner.cache.hit").value
     misses = telemetry.counter("runner.cache.miss").value
     if cache is None:
@@ -409,6 +408,7 @@ def _print_exec_summary(args: argparse.Namespace, cache, telemetry) -> None:
             f"(workers={args.workers}, cache {cache.root})",
             file=sys.stderr,
         )
+    return result
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -677,27 +677,19 @@ def cmd_figures(args: argparse.Namespace) -> int:
             shown.to_csv(target)
             print(f"saved {target}")
 
-    cache, telemetry, progress = _make_exec(args)
-    exec_kwargs = dict(
-        workers=args.workers, cache=cache, telemetry=telemetry, progress=progress
+    fig4, fig5 = _run_grid_verb(
+        args, run_figures, config, seeds=args.seeds, scale=args.scale
     )
-    if wanted in ("4a", "4b", "4c", "all"):
-        fig4 = run_figure4(config, seeds=args.seeds, scale=args.scale, **exec_kwargs)
-        panels = {
-            "4a": fig4.idle_time,
-            "4b": fig4.page_faults,
-            "4c": fig4.cache_misses,
-        }
-        for key, series in panels.items():
-            if wanted in (key, "all"):
-                emit(key, series)
-    if wanted in ("5a", "5b", "all"):
-        fig5 = run_figure5(config, seeds=args.seeds, scale=args.scale, **exec_kwargs)
-        panels = {"5a": fig5.top_half, "5b": fig5.bottom_half}
-        for key, series in panels.items():
-            if wanted in (key, "all"):
-                emit(key, series)
-    _print_exec_summary(args, cache, telemetry)
+    panels = {
+        "4a": fig4.idle_time,
+        "4b": fig4.page_faults,
+        "4c": fig4.cache_misses,
+        "5a": fig5.top_half,
+        "5b": fig5.bottom_half,
+    }
+    for key, series in panels.items():
+        if wanted in (key, "all"):
+            emit(key, series)
     return 0
 
 
@@ -721,20 +713,16 @@ def cmd_observation(args: argparse.Namespace) -> int:
 def cmd_crossover(args: argparse.Namespace) -> int:
     """``repro crossover``: Sync-vs-Async device-latency sweep."""
     config = _machine_config(args)
-    cache, telemetry, progress = _make_exec(args)
-    rows = sweep_device_latency(
+    rows = _run_grid_verb(
+        args,
+        sweep_device_latency,
         args.latencies,
         policies=("Sync", "Async"),
         batch=args.batch,
         seed=args.seed,
         scale=args.scale,
         base=config,
-        workers=args.workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
     )
-    _print_exec_summary(args, cache, telemetry)
     print("device latency sweep: Sync vs Async makespan")
     print(f"{'latency(us)':>11s}  {'Sync':>10s}  {'Async':>10s}  winner")
     for row in rows:
@@ -753,20 +741,16 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 def cmd_tails(args: argparse.Namespace) -> int:
     """``repro tails``: tail-sensitivity sweep across fault profiles."""
     config = _machine_config(args)
-    cache, telemetry, progress = _make_exec(args)
-    rows = run_tail_sensitivity(
+    rows = _run_grid_verb(
+        args,
+        run_tail_sensitivity,
         config,
         profiles=tuple(args.profiles),
         latencies_us=args.latencies,
         batch=args.batch,
         seed=args.seed,
         scale=args.scale,
-        workers=args.workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
     )
-    _print_exec_summary(args, cache, telemetry)
     print("tail sensitivity: Sync-vs-Async crossover under fault profiles")
     print(f"{'profile':>16s}  {'crossover(us)':>13s}  {'Sync wins':>9s}  of")
     for row in rows:
@@ -787,8 +771,9 @@ def cmd_tails(args: argparse.Namespace) -> int:
 def cmd_adaptive(args: argparse.Namespace) -> int:
     """``repro adaptive``: adaptive controller vs static policies."""
     config = _machine_config(args)
-    cache, telemetry, progress = _make_exec(args)
-    rows = run_adaptive_comparison(
+    rows = _run_grid_verb(
+        args,
+        run_adaptive_comparison,
         config,
         profiles=tuple(args.profiles),
         latencies_us=args.latencies,
@@ -796,12 +781,7 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
         batch=args.batch,
         seed=args.seed,
         scale=args.scale,
-        workers=args.workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
     )
-    _print_exec_summary(args, cache, telemetry)
     policies = tuple(args.static_policies) + ("Adaptive",)
     print("adaptive I/O-mode selection vs static policies (makespan)")
     header = f"{'profile':>16s} {'lat(us)':>8s}"
@@ -826,8 +806,9 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
 def cmd_cores(args: argparse.Namespace) -> int:
     """``repro cores``: SMP core-count scaling per policy."""
     config = _machine_config(args)
-    cache, telemetry, progress = _make_exec(args)
-    rows = run_core_scaling(
+    rows = _run_grid_verb(
+        args,
+        run_core_scaling,
         config,
         core_counts=tuple(args.counts),
         policies=tuple(args.policies),
@@ -835,12 +816,7 @@ def cmd_cores(args: argparse.Namespace) -> int:
         profile=None,  # _machine_config already applied --fault-profile
         seed=args.seed,
         scale=args.scale,
-        workers=args.workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
     )
-    _print_exec_summary(args, cache, telemetry)
     policies = tuple(args.policies)
     print("SMP core scaling (makespan, speedup vs 1 core)")
     header = f"{'cores':>5s}"
@@ -883,20 +859,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         rates = rates[:1]
     base = with_serving(config, **overrides)
-    cache, telemetry, progress = _make_exec(args)
-    rows = run_serving_sweep(
+    rows = _run_grid_verb(
+        args,
+        run_serving_sweep,
         base,
         rates=rates,
         policies=tuple(args.policies),
         batch=args.batch,
         seed=args.seed,
         scale=args.scale,
-        workers=args.workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
     )
-    _print_exec_summary(args, cache, telemetry)
     print(
         f"open-loop serving: {args.arrival} arrivals, "
         f"SLO p{args.slo_percentile * 100:g} <= {args.slo_ms:g} ms, "
@@ -934,8 +906,9 @@ def cmd_tiers(args: argparse.Namespace) -> int:
     config = _machine_config(args, apply_tiers=False)
     tiers = args.tiers or DEFAULT_TIER_NAMES
     placements = (args.placement,) if args.placement else tuple(TIER_PLACEMENTS)
-    cache, telemetry, progress = _make_exec(args)
-    rows = run_tier_sweep(
+    rows = _run_grid_verb(
+        args,
+        run_tier_sweep,
         config,
         tiers=tiers,
         placements=placements,
@@ -944,12 +917,7 @@ def cmd_tiers(args: argparse.Namespace) -> int:
         scale=args.scale,
         promote_threshold=args.promote_threshold,
         demote_watermark=args.demote_watermark,
-        workers=args.workers,
-        cache=cache,
-        telemetry=telemetry,
-        progress=progress,
     )
-    _print_exec_summary(args, cache, telemetry)
     print(
         f"tiered storage: adaptive I/O-mode selection per backing device "
         f"({args.batch}, seed {args.seed}, scale {args.scale:g}, "
@@ -1088,22 +1056,23 @@ def _render_sweep_summary(summary, telemetry) -> str:
 
 def cmd_sweep_init(args: argparse.Namespace) -> int:
     """``repro sweep init``: build and save a cell-grid manifest."""
-    from itertools import product
     from pathlib import Path
 
     from repro.analysis.manifest import SweepManifest
-    from repro.analysis.runner import ResultCache, SweepCell
+    from repro.analysis.runner import Grid, ResultCache
 
-    config = _machine_config(args)
-    cells = [
-        SweepCell(config=config, batch=batch, policy=policy, seed=seed, scale=args.scale)
-        for batch, policy, seed in product(args.batches, args.policies, args.seeds)
-    ]
+    grid = Grid(
+        points={None: _machine_config(args)},
+        batches=args.batches,
+        policies=args.policies,
+        seeds=args.seeds,
+        scale=args.scale,
+    )
     cache = ResultCache(args.cache_dir)
     manifest = SweepManifest(
         name=args.name or Path(args.manifest).stem,
         cache_dir=str(cache.root),
-        cells=cells,
+        cells=grid.cells(),
     )
     path = manifest.save(args.manifest)
     print(

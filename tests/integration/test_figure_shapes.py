@@ -19,7 +19,7 @@ does.  Expected shapes (paper Section 4.2):
 import pytest
 
 from repro import MachineConfig
-from repro.analysis.experiments import run_figure4, run_figure5, run_observation
+from repro.analysis.experiments import run_figures, run_observation
 
 # Full-scale traces: the Async-vs-Sync fault-thrash differential needs
 # the reuse passes that scaled-down traces drop.
@@ -28,13 +28,19 @@ SCALE = 1.0
 
 
 @pytest.fixture(scope="module")
-def fig4():
-    return run_figure4(MachineConfig(), seeds=SEEDS, scale=SCALE)
+def figures():
+    """Both figures, projected from one simulation of the grid."""
+    return run_figures(MachineConfig(), seeds=SEEDS, scale=SCALE)
 
 
 @pytest.fixture(scope="module")
-def fig5():
-    return run_figure5(MachineConfig(), seeds=SEEDS, scale=SCALE)
+def fig4(figures):
+    return figures[0]
+
+
+@pytest.fixture(scope="module")
+def fig5(figures):
+    return figures[1]
 
 
 def series_by_batch(series):

@@ -5,7 +5,7 @@ produce identical sweep rows, and a repeated run against the same cache
 is 100% hits (verified through the runner's telemetry counters).
 """
 
-from repro.analysis.runner import ResultCache, run_grid
+from repro.analysis.runner import Grid, ResultCache, run_grid
 from repro.analysis.sweeps import sweep_device_latency
 from repro.common.config import MachineConfig
 from repro.sim.batch import batch_names
@@ -24,15 +24,15 @@ class TestWorkerCountInvariance:
             assert s_row.results == p_row.results  # bit-for-bit dataclass equality
 
     def test_parallel_grid_matches_serial_grid(self):
-        config = MachineConfig()
-        kwargs = dict(
+        grid = Grid(
+            points={None: MachineConfig()},
             batches=batch_names()[:1],
             policies=["Sync", "ITS"],
             seeds=(1,),
             scale=0.2,
         )
-        serial = run_grid(config, workers=1, **kwargs)
-        parallel = run_grid(config, workers=4, **kwargs)
+        serial = run_grid(grid, workers=1)
+        parallel = run_grid(grid, workers=4)
         assert serial == parallel
 
 

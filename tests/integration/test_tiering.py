@@ -216,3 +216,29 @@ class TestServingWithTiers:
         assert result.serving is not None
         assert result.tiers is not None
         assert {t.name for t in result.tiers.tiers} == {"ull", "nvme"}
+
+
+class TestMigrationWithCausalGraph:
+    def test_hot_cold_run_records_tier_migrate_nodes(self):
+        """A migration firing with the causal graph attached must land
+        in the graph as a ``tier_migrate`` node, not crash the run."""
+        from repro.analysis.experiments import run_batch_policy
+        from repro.telemetry import Telemetry
+
+        # Pages start cold under hot_cold, and threshold 1 promotes on
+        # the first fault, so migrations fire even at this tiny scale.
+        config = with_tier_presets(
+            MachineConfig(),
+            ["ull", "far_memory"],
+            placement="hot_cold",
+            promote_threshold=1,
+        )
+        telemetry = Telemetry(events=False, causal=True)
+        result = run_batch_policy(
+            config, "2_Data_Intensive", "Sync", seed=1, scale=0.02,
+            telemetry=telemetry,
+        )
+        assert result.tiers.promotions > 0
+        migrations = [n for n in telemetry.causal.nodes if n.kind == "tier_migrate"]
+        assert len(migrations) == result.tiers.promotions + result.tiers.demotions
+        assert {n.args["direction"] for n in migrations} <= {"promote", "demote"}

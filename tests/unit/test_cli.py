@@ -255,6 +255,14 @@ class TestCommands:
         assert "Fig 4a" in out
         assert "normalized to ITS" in out
 
+    def test_figures_all_simulates_the_grid_once(self, capsys):
+        code = main(
+            ["figures", "--figure", "all", "--no-cache", "--seeds", "1", "--scale", "0.05"]
+        )
+        assert code == 0
+        # 4 batches x 5 policies x 1 seed, shared by Figures 4 and 5.
+        assert "cells: 20 simulated" in capsys.readouterr().err
+
     def test_crossover_cached_rerun_matches(self, capsys, tmp_path):
         argv = [
             "crossover", "--latencies", "1", "30", "--scale", "0.2",
