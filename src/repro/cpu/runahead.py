@@ -26,12 +26,13 @@ from typing import Optional
 
 from repro.common.config import MachineConfig
 from repro.cpu.isa import Branch, Compute, Instruction, Load, Store
-from repro.cpu.registers import RegisterFile
+from repro.cpu.registers import RegisterFile, ShadowRegisterFile
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.preexec_cache import PreExecuteCache
 from repro.mem.store_buffer import StoreBuffer
 from repro.telemetry.registry import DEFAULT_COUNT_BOUNDS
 from repro.vm.mm import MemoryManager
+from repro.vm.page_table import PageTableEntry
 
 
 @dataclass
@@ -78,7 +79,7 @@ class PreExecuteEngine:
         self.store_buffer = StoreBuffer(store_buffer_capacity)
         self.stats = PreExecuteStats()
         self.telemetry = telemetry
-        self._dirty_inv_ptes: list[tuple[int, int]] = []
+        self._dirty_inv_ptes: list[PageTableEntry] = []
 
     def run_episode(
         self,
@@ -99,27 +100,147 @@ class PreExecuteEngine:
         Returns ``(episode_stats, discovered_fault_vpns)``; the second
         element lists non-resident pages the speculative stream touched,
         which the ITS prefetcher may exploit.  All architectural state is
-        restored before returning.
+        restored before returning, also when an instruction is rejected:
+        dispatch is on the exact instruction type, and anything but the
+        four ISA types raises ``TypeError``.
         """
         if budget_ns <= 0 or start_index >= len(trace):
             return PreExecuteStats(), []
 
+        its = self.config.its
+        end = min(
+            len(trace),
+            start_index + its.preexec_max_instructions,
+            start_index + budget_ns // its.preexec_instr_ns,
+        )
+        lookup_vpn = self.memory.mm_of(pid).page_table.lookup_vpn
+        page_shift = self.memory.page_shift
+        page_size = 1 << page_shift
+        offset_mask = page_size - 1
+        llc = self.hierarchy.llc
+        llc_access = llc.access
+        buffer = self.store_buffer
+        cache_lookup = self.preexec_cache.lookup
+        cache_write = self.preexec_cache.write
+        mark_dirty = self._dirty_inv_ptes.append
+        discovered: list[int] = []
+        skipped = warmed = faults = retirements = 0
+
         shadow = registers.checkpoint()
         if faulting_reg is not None:
             registers.set_invalid(faulting_reg, True)
+        # The episode's INV bits live in a local mask: the checkpoint is
+        # restored at the end, so nothing is written back.
+        inv = registers.inv_mask
+        try:
+            for instr in trace[start_index:end]:
+                kind = type(instr)
+                if kind is Compute:
+                    dst_bit = 1 << instr.dst
+                    for src in instr.srcs:
+                        if inv >> src & 1:
+                            inv |= dst_bit
+                            skipped += 1
+                            break
+                    else:
+                        inv &= ~dst_bit
 
-        episode = PreExecuteStats(episodes=1)
-        discovered: list[int] = []
-        spent = 0
-        index = start_index
-        per_instr = self.config.its.preexec_instr_ns
-        limit = start_index + self.config.its.preexec_max_instructions
-        while index < len(trace) and index < limit and spent + per_instr <= budget_ns:
-            spent += per_instr
-            self._step(pid, registers, trace[index], episode, discovered)
-            index += 1
+                elif kind is Load:
+                    dst_bit = 1 << instr.dst
+                    addr_reg = instr.addr_reg
+                    if addr_reg is not None and inv >> addr_reg & 1:
+                        # Bogus address: skip the access, poison the destination.
+                        inv |= dst_bit
+                        skipped += 1
+                        continue
+                    vaddr = instr.vaddr
+                    # Figure 3b step 1: youngest overlapping store-buffer entry wins.
+                    buffered = buffer.lookup(vaddr, instr.size)
+                    if buffered is not None:
+                        valid = not buffered.invalid
+                    else:
+                        # Step 2: the pre-execute cache, with per-byte INV checking.
+                        valid = cache_lookup(vaddr, instr.size)
+                    if valid is None:
+                        vpn = vaddr >> page_shift
+                        pte = lookup_vpn(vpn)
+                        if pte is None or not pte.present:
+                            # Step 0: data still on the storage device -> invalid.
+                            inv |= dst_bit
+                            skipped += 1
+                            faults += 1
+                            discovered.append(vpn)
+                            continue
+                        paddr = pte.frame * page_size + (vaddr & offset_mask)
+                        if llc_access(paddr, owner=pid, preexec=True):
+                            # Step 3: present in the main cache -> the PTE INV bit.
+                            valid = not pte.inv
+                        else:
+                            # Step 4: only in memory -> valid; the line is now cached.
+                            warmed += 1
+                            valid = True
+                    if valid:
+                        inv &= ~dst_bit
+                    else:
+                        inv |= dst_bit
+                        skipped += 1
 
-        self._end_episode(registers, shadow, episode)
+                elif kind is Store:
+                    addr_reg = instr.addr_reg
+                    if addr_reg is not None and inv >> addr_reg & 1:
+                        skipped += 1
+                        continue
+                    vaddr = instr.vaddr
+                    vpn = vaddr >> page_shift
+                    pte = lookup_vpn(vpn)
+                    if pte is None or not pte.present:
+                        # Figure 3a step 0: data on the storage device ->
+                        # invalid store; allocate a pre-execute cache line
+                        # with INV bytes and set the PTE INV bit.
+                        cache_write(vaddr, instr.size, invalid=True)
+                        if pte is not None and not pte.inv:
+                            pte.inv = True
+                            mark_dirty(pte)
+                        skipped += 1
+                        faults += 1
+                        discovered.append(vpn)
+                        continue
+                    invalid = bool(inv >> instr.src & 1)
+                    # Step 1: the result enters the store buffer with its INV status.
+                    retired = buffer.push(vaddr, instr.size, invalid=invalid)
+                    if retired is not None:
+                        # Step 3: retirement transfers data + INV bits to the
+                        # pre-execute cache.
+                        cache_write(retired.address, retired.size, invalid=retired.invalid)
+                        retirements += 1
+                    # Step 2: data in memory but not in the cache -> fetch query.
+                    paddr = pte.frame * page_size + (vaddr & offset_mask)
+                    if not llc.contains(paddr):
+                        llc_access(paddr, owner=pid, preexec=True)
+                        warmed += 1
+                    if invalid:
+                        skipped += 1
+                        if not pte.inv:
+                            pte.inv = True
+                            mark_dirty(pte)
+
+                elif kind is Branch:
+                    # INV-source branches follow the traced outcome (predictor).
+                    registers.record_branch(instr.taken)
+
+                else:
+                    raise TypeError(f"unknown instruction {instr!r}")
+        finally:
+            retirements += self._end_episode(registers, shadow)
+
+        episode = PreExecuteStats(
+            episodes=1,
+            instructions=end - start_index,
+            skipped_invalid=skipped,
+            lines_warmed=warmed,
+            faults_discovered=faults,
+            store_buffer_retirements=retirements,
+        )
         self.stats = self.stats.merged(episode)
         if self.telemetry is not None:
             tel = self.telemetry
@@ -134,154 +255,20 @@ class PreExecuteEngine:
             tel.counter("runahead.faults_discovered").inc(episode.faults_discovered)
         return episode, discovered
 
-    # -- per-instruction semantics -------------------------------------------
-
-    def _step(
-        self,
-        pid: int,
-        regs: RegisterFile,
-        instr: Instruction,
-        episode: PreExecuteStats,
-        discovered: list[int],
-    ) -> None:
-        episode.instructions += 1
-        if isinstance(instr, Compute):
-            regs.set_invalid(instr.dst, regs.any_invalid(instr.srcs))
-            if regs.is_invalid(instr.dst):
-                episode.skipped_invalid += 1
-            return
-        if isinstance(instr, Branch):
-            # INV-source branches follow the traced outcome (predictor).
-            regs.record_branch(instr.taken)
-            return
-        if isinstance(instr, Load):
-            self._preexec_load(pid, regs, instr, episode, discovered)
-            return
-        if isinstance(instr, Store):
-            self._preexec_store(pid, regs, instr, episode, discovered)
-            return
-        raise TypeError(f"unknown instruction {instr!r}")
-
-    def _preexec_load(
-        self,
-        pid: int,
-        regs: RegisterFile,
-        instr: Load,
-        episode: PreExecuteStats,
-        discovered: list[int],
-    ) -> None:
-        if instr.addr_reg is not None and regs.is_invalid(instr.addr_reg):
-            # Bogus address: skip the access, poison the destination.
-            regs.set_invalid(instr.dst, True)
-            episode.skipped_invalid += 1
-            return
-
-        # Figure 3b step 1: youngest overlapping store-buffer entry wins.
-        buffered = self.store_buffer.lookup(instr.vaddr, instr.size)
-        if buffered is not None:
-            regs.set_invalid(instr.dst, buffered.invalid)
-            if buffered.invalid:
-                episode.skipped_invalid += 1
-            return
-
-        # Step 2: the pre-execute cache, with per-byte INV checking.
-        cached = self.preexec_cache.lookup(instr.vaddr, instr.size)
-        if cached is not None:
-            regs.set_invalid(instr.dst, not cached)
-            if not cached:
-                episode.skipped_invalid += 1
-            return
-
-        # Step 0: data still on the storage device -> invalid.
-        pte = self.memory.mm_of(pid).pte_for(self.memory.vpn_of(instr.vaddr))
-        if pte is None or not pte.present:
-            regs.set_invalid(instr.dst, True)
-            episode.skipped_invalid += 1
-            episode.faults_discovered += 1
-            discovered.append(self.memory.vpn_of(instr.vaddr))
-            return
-
-        paddr = self._paddr(pte.frame, instr.vaddr)  # type: ignore[arg-type]
-        if self.hierarchy.llc.contains(paddr):
-            # Step 3: present in the main cache -> consult the PTE INV bit.
-            self.hierarchy.llc.access(paddr, owner=pid, preexec=True)
-            regs.set_invalid(instr.dst, pte.inv)
-            if pte.inv:
-                episode.skipped_invalid += 1
-            return
-
-        # Step 4: only in memory -> valid; move the line into the cache.
-        self.hierarchy.llc.access(paddr, owner=pid, preexec=True)
-        episode.lines_warmed += 1
-        regs.set_invalid(instr.dst, False)
-
-    def _preexec_store(
-        self,
-        pid: int,
-        regs: RegisterFile,
-        instr: Store,
-        episode: PreExecuteStats,
-        discovered: list[int],
-    ) -> None:
-        if instr.addr_reg is not None and regs.is_invalid(instr.addr_reg):
-            episode.skipped_invalid += 1
-            return
-
-        pte = self.memory.mm_of(pid).pte_for(self.memory.vpn_of(instr.vaddr))
-        if pte is None or not pte.present:
-            # Figure 3a step 0: data on the storage device -> invalid
-            # store; allocate a pre-execute cache line with INV bytes and
-            # set the PTE INV bit.
-            self.preexec_cache.write(instr.vaddr, instr.size, invalid=True)
-            if pte is not None and not pte.inv:
-                pte.inv = True
-                self._dirty_inv_ptes.append((pid, self.memory.vpn_of(instr.vaddr)))
-            episode.skipped_invalid += 1
-            episode.faults_discovered += 1
-            discovered.append(self.memory.vpn_of(instr.vaddr))
-            return
-
-        invalid = regs.is_invalid(instr.src)
-        # Step 1: the result enters the store buffer with its INV status.
-        retired = self.store_buffer.push(instr.vaddr, instr.size, invalid=invalid)
-        if retired is not None:
-            # Step 3: retirement transfers data + INV bits to the
-            # pre-execute cache.
-            self.preexec_cache.write(retired.address, retired.size, invalid=retired.invalid)
-            episode.store_buffer_retirements += 1
-        # Step 2: data in memory but not in the cache -> fetch query.
-        paddr = self._paddr(pte.frame, instr.vaddr)  # type: ignore[arg-type]
-        if not self.hierarchy.llc.contains(paddr):
-            self.hierarchy.llc.access(paddr, owner=pid, preexec=True)
-            episode.lines_warmed += 1
-        if invalid and not pte.inv:
-            pte.inv = True
-            self._dirty_inv_ptes.append((pid, self.memory.vpn_of(instr.vaddr)))
-        if invalid:
-            episode.skipped_invalid += 1
-
     # -- episode teardown ------------------------------------------------------
 
-    def _end_episode(
-        self,
-        regs: RegisterFile,
-        shadow,  # ShadowRegisterFile
-        episode: PreExecuteStats,
-    ) -> None:
-        # Drain remaining buffered stores into the pre-execute cache, then
-        # wipe all speculative state: the pre-execute cache contents, the
-        # PTE INV bits set this episode, and the register file.
+    def _end_episode(self, registers: RegisterFile, shadow: ShadowRegisterFile) -> int:
+        """Drain the remaining buffered stores into the pre-execute cache,
+        then wipe all speculative state: the pre-execute cache contents,
+        the PTE INV bits set this episode, and the register file.
+        Returns the number of stores drained."""
+        drained = 0
         for entry in self.store_buffer.drain():
             self.preexec_cache.write(entry.address, entry.size, invalid=entry.invalid)
-            episode.store_buffer_retirements += 1
+            drained += 1
         self.preexec_cache.clear()
-        for pid, vpn in self._dirty_inv_ptes:
-            pte = self.memory.mm_of(pid).pte_for(vpn)
-            if pte is not None:
-                pte.inv = False
+        for pte in self._dirty_inv_ptes:
+            pte.inv = False
         self._dirty_inv_ptes.clear()
-        regs.restore(shadow)
-
-    def _paddr(self, frame: int, vaddr: int) -> int:
-        page_size = self.memory.frames.page_size
-        return frame * page_size + (vaddr & (page_size - 1))
+        registers.restore(shadow)
+        return drained

@@ -33,13 +33,15 @@ class PreExecuteCache:
         ]
         self._line_bits = config.line_size.bit_length() - 1
         self._set_mask = config.num_sets - 1
+        self._tag_shift = self._set_mask.bit_length()
+        self._touched: set[int] = set()
         self.writes = 0
         self.hits = 0
         self.misses = 0
 
     def _index_tag(self, addr: int) -> tuple[int, int]:
         line = addr >> self._line_bits
-        return line & self._set_mask, line >> (self._set_mask.bit_length())
+        return line & self._set_mask, line >> self._tag_shift
 
     def _line_offset(self, addr: int) -> int:
         return addr & (self.config.line_size - 1)
@@ -71,6 +73,10 @@ class PreExecuteCache:
         but at least one byte is marked INV (the dependent load must be
         invalidated — Figure 3b step 2).
         """
+        if not self._touched and size > 0:
+            # Empty since the last clear: the first line misses.
+            self.misses += 1
+            return None
         remaining = size
         addr = address
         all_valid = True
@@ -78,11 +84,12 @@ class PreExecuteCache:
             index, tag = self._index_tag(addr)
             offset = self._line_offset(addr)
             span = min(remaining, self.config.line_size - offset)
-            line = self._sets[index].get(tag)
+            cache_set = self._sets[index]
+            line = cache_set.get(tag)
             if line is None:
                 self.misses += 1
                 return None
-            self._sets[index].move_to_end(tag)
+            cache_set.move_to_end(tag)
             if any(line[offset : offset + span]):
                 all_valid = False
             addr += span
@@ -91,9 +98,14 @@ class PreExecuteCache:
         return all_valid
 
     def clear(self) -> None:
-        """Discard all speculative contents (end of a pre-execute episode)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        """Discard all speculative contents (end of a pre-execute episode).
+
+        Only the sets written since the last clear can hold lines, so
+        only those are emptied.
+        """
+        for index in self._touched:
+            self._sets[index].clear()
+        self._touched.clear()
 
     def resident_lines(self) -> int:
         """Number of lines currently allocated."""
@@ -105,6 +117,7 @@ class PreExecuteCache:
         if line is not None:
             cache_set.move_to_end(tag)
             return line
+        self._touched.add(index)
         if len(cache_set) >= self.config.ways:
             cache_set.popitem(last=False)
         line = [False] * self.config.line_size

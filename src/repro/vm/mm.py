@@ -81,19 +81,14 @@ class MemoryManager:
         self.swap = swap
         self.swap_cache = SwapCache()
         self.replacement = replacement
+        # ``vaddr >> page_shift`` is the virtual page number at this
+        # machine's page size: with the default 4 KiB pages it matches
+        # :func:`repro.vm.address.page_number`; with huge pages (e.g.
+        # 2 MiB) the numbering is correspondingly coarser.
         self.page_shift = frames.page_size.bit_length() - 1
         self._mms: dict[int, MMStruct] = {}
         self._evict_callbacks: list[EvictCallback] = []
         self.evictions = 0
-
-    def vpn_of(self, vaddr: int) -> int:
-        """Virtual page number of *vaddr* at this machine's page size.
-
-        With the default 4 KiB pages this matches
-        :func:`repro.vm.address.page_number`; with huge pages (e.g.
-        2 MiB) the numbering is correspondingly coarser.
-        """
-        return vaddr >> self.page_shift
 
     # -- process setup ------------------------------------------------------
 

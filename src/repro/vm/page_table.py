@@ -14,7 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.vm.address import ENTRIES_PER_TABLE, VirtualAddress
+from repro.common.errors import AddressError
+from repro.vm.address import (
+    ENTRIES_PER_TABLE,
+    INDEX_BITS,
+    PAGE_SHIFT,
+    VA_BITS,
+    VirtualAddress,
+)
+
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+_PUD_SHIFT = 2 * INDEX_BITS
+_PGD_SHIFT = 3 * INDEX_BITS
+_VPN_LIMIT = 1 << (VA_BITS - PAGE_SHIFT)
 
 
 @dataclass
@@ -109,8 +121,26 @@ class PageTable:
         return self.pte_offset(pt, va)
 
     def lookup_vpn(self, vpn: int) -> Optional[PageTableEntry]:
-        """Walk by virtual page number instead of byte address."""
-        return self.walk(vpn << 12)
+        """Walk by virtual page number instead of byte address.
+
+        The same four-level walk as :meth:`walk`, with the per-level
+        indices cut from *vpn* by shifts: this is the pre-execute
+        engine's per-access lookup, so it builds no
+        :class:`VirtualAddress`.
+        """
+        self.stats.walks += 1
+        if not 0 <= vpn < _VPN_LIMIT:
+            raise AddressError(f"virtual page number {vpn:#x} outside the {VA_BITS}-bit space")
+        pud = self._pgd.entries.get(vpn >> _PGD_SHIFT)
+        if pud is None:
+            return None
+        pmd = pud.entries.get(vpn >> _PUD_SHIFT & _INDEX_MASK)  # type: ignore[attr-defined]
+        if pmd is None:
+            return None
+        pt = pmd.entries.get(vpn >> INDEX_BITS & _INDEX_MASK)  # type: ignore[attr-defined]
+        if pt is None:
+            return None
+        return pt.entries.get(vpn & _INDEX_MASK)  # type: ignore[attr-defined]
 
     def ensure_pte(self, vaddr: int) -> PageTableEntry:
         """Walk, populating intermediate levels and the leaf as needed."""

@@ -107,23 +107,31 @@ def test_sigkill_mid_grid_resume_is_bit_identical(tmp_path):
     # Kill one worker as soon as (a) some cells are cached -- so there
     # is pre-crash state to protect -- and (b) it demonstrably holds a
     # claim, so it dies mid-cell and leaves a stale lease behind.
+    claims_root = cache.root / "claims"
     victim = None
     deadline = time.monotonic() + DEADLINE_S
-    while time.monotonic() < deadline:
+    while victim is None and time.monotonic() < deadline:
         if len(cached_keys(cache, manifest)) >= 2:
-            for path, pid in claim_pids(cache.root / "claims").items():
+            for path, pid in claim_pids(claims_root).items():
                 if pid in by_pid and by_pid[pid].poll() is None:
-                    victim = by_pid[pid]
-                    victim.kill()  # SIGKILL: no cleanup, claim left behind
-                    victim.wait()
+                    killed = by_pid.pop(pid)
+                    killed.kill()  # SIGKILL: no cleanup, claim left behind
+                    killed.wait()
+                    if pid in claim_pids(claims_root).values():
+                        victim = killed
+                    else:
+                        # Between the read and the kill it released its
+                        # claim, or exited after --max-cells: it left no
+                        # stale lease, so a fresh worker takes its place
+                        # and the hunt goes on.
+                        replacement = subprocess.Popen(argv, env=env)
+                        by_pid[replacement.pid] = replacement
                     break
-            if victim is not None:
-                break
         time.sleep(0.01)
     assert victim is not None, "never caught a worker holding a claim"
 
-    survivor = next(p for p in workers if p is not victim)
-    assert survivor.wait(timeout=DEADLINE_S) == 0
+    for survivor in by_pid.values():
+        assert survivor.wait(timeout=DEADLINE_S) == 0
 
     # Mid-crash audit: grid incomplete, victim's stale claim on disk.
     claims = ClaimStore(cache.root / "claims", lease_s=LEASE_S)
